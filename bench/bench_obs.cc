@@ -172,7 +172,6 @@ void BM_ServingWithObservability(benchmark::State& state) {
   }
   serve::ServerOptions opts;
   opts.max_batch_size = 16;
-  opts.max_wait_us = 100;
   opts.result_cache_capacity = 0;  // Measure the full execution path.
   serve::InferenceServer server(registry, opts);
   if (!server.Start().ok()) {

@@ -24,10 +24,12 @@
 #include <cmath>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "fault/fault_injector.h"
 #include "kernel/quantum_kernel.h"
 #include "serve/inference_server.h"
@@ -155,7 +157,6 @@ void BM_KernelSvmServing(benchmark::State& state) {
     }
     ServerOptions opts;
     opts.max_batch_size = 16;
-    opts.max_wait_us = 100;
     opts.result_cache_capacity = 0;  // Measure compute, not memoization.
     InferenceServer server(registry, opts);
     if (!server.Start().ok()) {
@@ -226,7 +227,6 @@ void BM_VqcServing(benchmark::State& state) {
     }
     ServerOptions opts;
     opts.max_batch_size = 16;
-    opts.max_wait_us = 100;
     opts.result_cache_capacity = 0;
     InferenceServer server(registry, opts);
     if (!server.Start().ok()) {
@@ -274,7 +274,6 @@ void BM_ResultCacheHitRate(benchmark::State& state) {
   }
   ServerOptions opts;
   opts.max_batch_size = 16;
-  opts.max_wait_us = 200;
   opts.result_cache_capacity = 1024;
   InferenceServer server(registry, opts);
   if (!server.Start().ok()) {
@@ -307,6 +306,25 @@ BENCHMARK(BM_ResultCacheHitRate)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 enum BreakerMode { kHealthyAlone = 0, kPoisonedCoTenant = 1 };
 
+constexpr int kBreakerShards = 2;
+
+/// A poisoned-model name that routes to a different shard from "bench-vqc"
+/// on a kBreakerShards-way server, so each model has its own dispatcher.
+const std::string& PoisonedModelName() {
+  static const std::string name = [] {
+    const size_t healthy_shard =
+        InferenceServer::ShardFor("bench-vqc", 1, kBreakerShards);
+    for (int candidate = 0;; ++candidate) {
+      std::string name = StrCat("bench-vqc-bad-", candidate);
+      if (InferenceServer::ShardFor(name, 1, kBreakerShards) !=
+          healthy_shard) {
+        return name;
+      }
+    }
+  }();
+  return name;
+}
+
 void BM_BreakerIsolation(benchmark::State& state) {
   // A poisoned co-tenant (every execution fails via an injected fault
   // targeted at its name) must not drag down a healthy model sharing the
@@ -323,21 +341,22 @@ void BM_BreakerIsolation(benchmark::State& state) {
   }
   if (mode == kPoisonedCoTenant) {
     ModelArtifact bad = SyntheticVqcArtifact();
-    bad.name = "bench-vqc-bad";
+    bad.name = PoisonedModelName();
     if (!registry.Register(bad).ok()) {
       state.SkipWithError("register failed");
       return;
     }
     fault::FaultSpec spec;
     spec.kind = fault::FaultKind::kError;
-    spec.target = "bench-vqc-bad";
+    spec.target = PoisonedModelName();
     fault::FaultInjector::Global().Arm("servable.run", spec);
   }
 
   ServerOptions opts;
   opts.max_batch_size = 16;
-  opts.max_wait_us = 100;
-  opts.num_dispatchers = 2;  // The poisoned model gets its own lane.
+  // The poisoned model routes to the other shard, so it gets its own
+  // dispatcher (in both modes, for a like-for-like baseline).
+  opts.num_shards = kBreakerShards;
   opts.result_cache_capacity = 0;
   opts.retry.max_attempts = 2;
   opts.retry.initial_backoff_us = 200;
@@ -365,7 +384,7 @@ void BM_BreakerIsolation(benchmark::State& state) {
           Rng rng(60 + c);
           while (poison_running.load(std::memory_order_relaxed)) {
             InferenceRequest request;
-            request.model = "bench-vqc-bad";
+            request.model = PoisonedModelName();
             request.input = queries[rng.UniformInt(0, kTotalRequests - 1)];
             (void)server.Submit(std::move(request)).get();
             std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -419,7 +438,7 @@ void BM_BreakerIsolation(benchmark::State& state) {
   state.counters["healthy_p50_us"] =
       healthy_latencies_us[healthy_latencies_us.size() / 2];
   if (mode == kPoisonedCoTenant) {
-    if (const auto* breaker = server.breaker("bench-vqc-bad", 1)) {
+    if (const auto* breaker = server.breaker(PoisonedModelName(), 1)) {
       state.counters["bad_shed"] =
           static_cast<double>(breaker->stats().shed);
       state.counters["bad_breaker_open"] =

@@ -11,11 +11,11 @@
 //
 // Load shape: --clients N (default 8) concurrent closed-loop clients;
 // --seconds S runs each client for a wall-clock duration instead of the
-// default fixed 32 requests; --shards / --dispatchers size the sharded
-// serving runtime. Multi-tenancy: clients carry alternating tenant ids,
-// and --quota-rate R (tokens/s, with --quota-burst B) arms per-tenant
-// token buckets — over-budget tenants see "resource exhausted" rejections
-// counted separately from real failures.
+// default fixed 32 requests; --shards sizes the sharded serving runtime
+// (one dispatcher per shard). Multi-tenancy: clients carry alternating
+// tenant ids, and --quota-rate R (tokens/s, with --quota-burst B) arms
+// per-tenant token buckets — over-budget tenants see "resource exhausted"
+// rejections counted separately from real failures.
 //
 // Storage tier: --store-budget-mb M caps the registry's resident model
 // bytes (0 = unlimited); least-recently-served file-backed models are
@@ -361,7 +361,6 @@ int RunRecovery(const std::string& journal_dir, const std::string& ack_path) {
   // hold admission until the server reports ready.
   serve::ServerOptions server_opts;
   server_opts.max_batch_size = 8;
-  server_opts.max_wait_us = 200;
   serve::InferenceServer server(registry, server_opts);
   if (auto s = server.Start(); !s.ok()) {
     std::printf("server start failed: %s\n", s.ToString().c_str());
@@ -526,11 +525,8 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions opts;
   opts.max_batch_size = 16;
-  opts.max_wait_us = 500;
   opts.num_shards = static_cast<int>(
       std::max(1l, ParseLongFlag(argc, argv, "--shards", 1)));
-  opts.num_dispatchers = static_cast<int>(std::max(
-      1l, ParseLongFlag(argc, argv, "--dispatchers", opts.num_shards)));
   if (quota_rate > 0.0) {
     opts.enable_quotas = true;
     opts.quota.default_spec.rate_per_s = quota_rate;
@@ -598,8 +594,8 @@ int main(int argc, char** argv) {
   const int total = submitted.load();
   std::printf("\nserved %d requests from %d clients in %.3fs  (%.0f req/s)\n",
               total, num_clients, elapsed_s, total / elapsed_s);
-  std::printf("  shards          %d  (dispatchers %d)\n", opts.num_shards,
-              opts.num_dispatchers);
+  std::printf("  shards          %d  (one dispatcher each)\n",
+              opts.num_shards);
   const int answered = total - failed.load() - quota_rejected.load();
   std::printf("  accuracy        %.3f\n",
               answered > 0 ? static_cast<double>(correct.load()) / answered

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Tier-1 gate: configure + build + full test suite, then rebuild the
-# concurrency-sensitive tests under ThreadSanitizer and run them, run the
-# storage suites under UndefinedBehaviorSanitizer, replay the seeded chaos
-# profiles, run the kill-9 crash-recovery matrix, and gate the serving
-# tier's observability overhead. Run from the repo root:
+# Tier-1 gate: configure + build + full test suite, then rebuild and run
+# the full suite under AddressSanitizer, rebuild the concurrency-sensitive
+# tests under ThreadSanitizer and run them, run the storage suites under
+# UndefinedBehaviorSanitizer, replay the seeded chaos profiles, run the
+# kill-9 crash-recovery matrix, and gate the serving tier's observability
+# overhead. Run from the repo root:
 #
 #   ./scripts/tier1.sh
 #
-# Build directories: build/ (regular), build-tsan/ (TSan, library + tests
-# only), build-ubsan/ (UBSan, storage tests only). All are incremental
-# across invocations.
+# Build directories: build/ (regular), build-asan/ (ASan, library + tests
+# only), build-tsan/ (TSan, library + tests only), build-ubsan/ (UBSan,
+# storage tests only). All are incremental across invocations.
 #
 # On a ctest failure, every test binary leaves a full metrics-registry dump
 # (QDB_METRICS_OUT) under build/Testing/metrics/ — the path is printed so
@@ -30,6 +31,18 @@ if ! (cd build &&
   ls -l "${metrics_dir}" >&2 || true
   exit 1
 fi
+
+echo
+echo "== tier 1: full suite under AddressSanitizer =="
+# Every ctest target, not a hand-picked subset: heap overflows and
+# use-after-free in any module (the serving dispatcher loop included) fail
+# here instead of corrupting a later test.
+cmake -B build-asan -S . \
+  -DQDB_SANITIZE=address \
+  -DQDB_BUILD_BENCHMARKS=OFF \
+  -DQDB_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build build-asan -j "$(nproc)"
+(cd build-asan && ctest --output-on-failure -j "$(nproc)")
 
 echo
 echo "== tier 1: concurrency tests under ThreadSanitizer =="

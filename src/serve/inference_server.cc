@@ -32,10 +32,7 @@ struct ServeMetrics {
   obs::Counter* cache_hits = obs::GetCounter("serve.cache_hits");
   obs::Counter* cache_misses = obs::GetCounter("serve.cache_misses");
   obs::Counter* stale_hits = obs::GetCounter("serve.degraded.stale_hits");
-  obs::Counter* window_shrinks =
-      obs::GetCounter("serve.degraded.batch_window_shrinks");
   obs::Counter* batches = obs::GetCounter("serve.batches");
-  obs::Counter* steals = obs::GetCounter("serve.batch_steals");
   obs::Counter* fifo_violations = obs::GetCounter("serve.fifo_violations");
   obs::Histogram* batch_size = obs::GetHistogram(
       "serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128});
@@ -171,16 +168,9 @@ Status InferenceServer::Start() {
     return Status::FailedPrecondition("server already started");
   }
   started_ = true;
-  const int n = options_.num_dispatchers > 0 ? options_.num_dispatchers : 1;
-  const size_t num_shards = shards_.size();
-  dispatchers_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    // Dispatcher i camps on shard i % num_shards; shards beyond the
-    // dispatcher count are served by work-stealing.
-    dispatchers_.emplace_back(
-        [this, home = static_cast<size_t>(i) % num_shards] {
-          DispatcherLoop(home);
-        });
+  dispatchers_.reserve(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    dispatchers_.emplace_back([this, i] { DispatcherLoop(i); });
   }
   return Status::OK();
 }
@@ -199,9 +189,9 @@ void InferenceServer::Shutdown() {
   // loader job settles its future, so this join is bounded by one job.
   if (warmup.joinable()) warmup.join();
   // Close admission shard by shard. Writing `accepting` under each shard's
-  // lock keeps Submit's check-and-push atomic against the flag flip, and
-  // notifying under the lock guarantees no dispatcher blocks on a cv wait
-  // it entered just before stopping_ was visible.
+  // lock keeps Submit's check-and-push atomic against the flag flip; a
+  // dispatcher exits once its shard is closed and empty, so everything
+  // admitted before the flip still executes.
   for (size_t i = 0; i < shards_.size(); ++i) {
     {
       std::lock_guard<std::mutex> lock(shards_[i]->mu);
@@ -211,8 +201,8 @@ void InferenceServer::Shutdown() {
   }
   shutdown_cv_.notify_all();  // Cut retry backoff sleeps short.
   for (auto& t : dispatchers) t.join();
-  // Anything still queued was admitted but never started (or a dispatcher
-  // never existed): fail it rather than leaving futures hanging.
+  // Anything still queued was admitted but never started (Start was not
+  // called): fail it rather than leaving futures hanging.
   std::deque<Pending> orphans;
   for (size_t i = 0; i < shards_.size(); ++i) {
     std::lock_guard<std::mutex> lock(shards_[i]->mu);
@@ -550,7 +540,6 @@ std::string InferenceServer::Statusz() const {
                   " shut_down=", shut_down_ ? 1 : 0, "\n");
     out += StrCat("queue: ", queue_depth(), " / ", options_.queue_capacity,
                   " (shards=", shards_.size(),
-                  " dispatchers=", dispatchers_.size(),
                   " max_shard_depth=", max_shard_depth(), ")\n");
   }
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -573,7 +562,7 @@ std::string InferenceServer::Statusz() const {
                   " rejected=", stats_.rejected,
                   " quota_rejected=", stats_.quota_rejected,
                   " expired=", stats_.expired, " failed=", stats_.failed,
-                  " batches=", stats_.batches, " steals=", stats_.steals,
+                  " batches=", stats_.batches,
                   " fifo_violations=", stats_.fifo_violations, "\n");
   }
   if (quotas_ != nullptr) {
@@ -787,98 +776,59 @@ bool InferenceServer::TryServeStale(Pending& pending) {
   return true;
 }
 
-void InferenceServer::DispatcherLoop(size_t home_shard) {
+void InferenceServer::DispatcherLoop(size_t shard_index) {
   while (true) {
-    std::vector<Pending> batch = NextBatch(home_shard);
-    if (batch.empty()) return;  // Drained and stopping.
+    std::vector<Pending> batch = NextBatch(shard_index);
+    if (batch.empty()) return;  // Closed and drained.
     ExecuteBatch(std::move(batch));
   }
 }
 
-std::vector<InferenceServer::Pending> InferenceServer::PopBatchLocked(
-    size_t shard_index, std::unique_lock<std::mutex>& lock,
-    bool allow_window) {
+std::vector<InferenceServer::Pending> InferenceServer::NextBatch(
+    size_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  // Pick the first leader whose stream is not mid-window on another
-  // dispatcher: popping a later same-stream request while its earlier
-  // siblings sit in an open batch would dispatch the stream out of order.
-  auto leader_it = shard.queue.begin();
-  for (; leader_it != shard.queue.end(); ++leader_it) {
-    if (shard.open_streams.count(
-            {static_cast<const void*>(leader_it->servable.get()),
-             static_cast<int>(leader_it->kind)}) == 0) {
-      break;
-    }
+  // Fault point "serve.queue_wait" injects at most one spurious wakeup per
+  // NextBatch call (bounded so an always-on fault cannot livelock): the
+  // loop must tolerate waking with nothing to do.
+  bool woke_spuriously = false;
+  std::unique_lock<std::mutex> lock(shard.mu);
+  while (shard.queue.empty()) {
+    if (!shard.accepting) return {};  // Closed and drained; exit.
+    shard.cv.wait(lock, [&] {
+      if (!shard.queue.empty() || !shard.accepting) return true;
+      if (!woke_spuriously && fault::SpuriousWake("serve.queue_wait")) {
+        woke_spuriously = true;
+        return true;
+      }
+      return false;
+    });
   }
-  if (leader_it == shard.queue.end()) return {};
+
+  // Work-conserving coalescing: the front leader plus every compatible
+  // request already queued, scanned front to back. Nothing waits for
+  // stragglers — later arrivals pile up while this batch executes and
+  // form the next one.
   std::vector<Pending> batch;
-  batch.push_back(std::move(*leader_it));
-  shard.queue.erase(leader_it);
+  batch.push_back(std::move(shard.queue.front()));
+  shard.queue.pop_front();
   const ServableModel* leader = batch.front().servable.get();
   const RequestKind kind = batch.front().kind;
-  const std::pair<const void*, int> stream_key = {
-      static_cast<const void*>(leader), static_cast<int>(kind)};
-  shard.open_streams.insert(stream_key);
-
-  const auto coalesce_pass = [&] {
-    for (auto it = shard.queue.begin();
-         it != shard.queue.end() && batch.size() < options_.max_batch_size;) {
-      if (it->servable.get() == leader && it->kind == kind) {
-        batch.push_back(std::move(*it));
-        it = shard.queue.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = shard.queue.begin();
+       it != shard.queue.end() && batch.size() < options_.max_batch_size;) {
+    if (it->servable.get() == leader && it->kind == kind) {
+      batch.push_back(std::move(*it));
+      it = shard.queue.erase(it);
+    } else {
+      ++it;
     }
-  };
-
-  if (allow_window) {
-    // Under shard pressure, shrink the coalescing window: clearing backlog
-    // fast matters more than filling each batch to the brim.
-    long wait_us = options_.max_wait_us;
-    if (options_.pressure_watermark > 0 &&
-        static_cast<double>(shard.queue.size()) >=
-            options_.pressure_watermark *
-                static_cast<double>(per_shard_capacity())) {
-      wait_us /= 4;
-      Metrics().window_shrinks->Increment();
-    }
-    const Clock::time_point close =
-        Clock::now() + std::chrono::microseconds(wait_us);
-
-    // Coalesce until the batch is full or the window closes. Each pass
-    // pulls every compatible request currently queued; between passes we
-    // sleep on the shard cv so new submissions extend the batch without
-    // busy-waiting.
-    while (batch.size() < options_.max_batch_size) {
-      coalesce_pass();
-      if (batch.size() >= options_.max_batch_size ||
-          stopping_.load(std::memory_order_relaxed)) {
-        break;
-      }
-      if (shard.cv.wait_until(lock, close) == std::cv_status::timeout) {
-        // Window closed; take any stragglers that arrived with the timeout.
-        coalesce_pass();
-        break;
-      }
-    }
-  } else {
-    // Stolen (or drain-time) batches close immediately: a thief only
-    // exists because this shard is backlogged while it sat idle, so
-    // clearing queued work beats waiting for stragglers.
-    coalesce_pass();
   }
-
-  // The batch is final: the stream closes (later arrivals are again fair
-  // game for any popper — they carry higher seqs, so dispatch order holds).
-  shard.open_streams.erase(stream_key);
 
   // FIFO dispatch audit: within one (servable, kind) stream, batch members
   // must leave the shard in admission order. Coalescing scans front to
-  // back, streams never migrate shards, and open streams are skipped by
-  // concurrent poppers, so seq numbers popped here must be strictly
-  // increasing per stream — home pop or steal alike.
-  uint64_t& last = shard.last_dispatched[stream_key];
+  // back, streams never migrate shards, and each shard has one dispatcher,
+  // so seq numbers popped here must be strictly increasing per stream.
+  uint64_t& last = shard.last_dispatched[{static_cast<const void*>(leader),
+                                          static_cast<int>(kind)}];
   long violations = 0;
   for (const Pending& member : batch) {
     if (member.seq <= last) {
@@ -887,103 +837,15 @@ std::vector<InferenceServer::Pending> InferenceServer::PopBatchLocked(
       last = member.seq;
     }
   }
+  shard.depth.store(shard.queue.size(), std::memory_order_relaxed);
+  lock.unlock();
   if (violations > 0) {
     Metrics().fifo_violations->Increment(violations);
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     stats_.fifo_violations += violations;
   }
-
-  shard.depth.store(shard.queue.size(), std::memory_order_relaxed);
-  if (!shard.queue.empty()) shard.cv.notify_one();  // Work left for peers.
+  PublishDepth(shard_index);
   return batch;
-}
-
-std::vector<InferenceServer::Pending> InferenceServer::NextBatch(
-    size_t home_shard) {
-  Shard& home = *shards_[home_shard];
-  const long poll_us = options_.steal_poll_us > 0 ? options_.steal_poll_us
-                                                  : options_.max_wait_us;
-  // Fault point "serve.queue_wait" injects at most one spurious wakeup per
-  // NextBatch call (bounded so an always-on fault cannot livelock): the
-  // outer loop must tolerate waking with nothing to do.
-  bool woke_spuriously = false;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(home.mu);
-      const auto wake = [&] {
-        if (stopping_.load(std::memory_order_relaxed) ||
-            !home.queue.empty()) {
-          return true;
-        }
-        if (!woke_spuriously && fault::SpuriousWake("serve.queue_wait")) {
-          woke_spuriously = true;
-          return true;
-        }
-        return false;
-      };
-      if (shards_.size() == 1) {
-        // Nothing to steal from: idle exactly like the pre-sharding server
-        // (indefinite wait, no periodic timeout churn — wakeups that cost
-        // real CPU when dispatchers share cores with clients).
-        home.cv.wait(lock, wake);
-      } else {
-        home.cv.wait_for(lock, std::chrono::microseconds(poll_us), wake);
-      }
-      if (!home.queue.empty()) {
-        // Home work coalesces with the normal window: the dispatcher owns
-        // this shard and can afford to wait for stragglers.
-        std::vector<Pending> batch = PopBatchLocked(
-            home_shard, lock, /*allow_window=*/true);
-        if (!batch.empty()) {
-          lock.unlock();
-          PublishDepth(home_shard);
-          return batch;
-        }
-        // Every queued stream is mid-window on a peer. The wait predicate
-        // above is already true (queue non-empty), so looping would spin
-        // on this lock until the peer's window closes — instead sleep
-        // until that batch finalizes (it notifies when work remains) or
-        // the poll interval elapses, then re-evaluate.
-        if (!stopping_.load(std::memory_order_relaxed)) {
-          home.cv.wait_for(lock, std::chrono::microseconds(poll_us));
-          continue;
-        }
-      }
-    }
-
-    // Home is empty: scan the other shards for stealable work. A steal
-    // takes the victim's whole front batch (leader plus everything
-    // coalescible, front to back) so same-stream ordering is untouched.
-    const bool stopping = stopping_.load(std::memory_order_relaxed);
-    for (size_t offset = 1; offset < shards_.size() + (stopping ? 1 : 0);
-         ++offset) {
-      // When draining we must also re-check the home shard (offset lands
-      // on it last): a Submit may have raced in after the wait above.
-      const size_t victim_index = (home_shard + offset) % shards_.size();
-      Shard& victim = *shards_[victim_index];
-      // Polling thieves skip a busy victim lock rather than pile onto it;
-      // the drain path must not skip work, so it blocks.
-      std::unique_lock<std::mutex> lock(victim.mu, std::defer_lock);
-      if (stopping) {
-        lock.lock();
-      } else if (!lock.try_lock()) {
-        continue;
-      }
-      if (victim.queue.empty()) continue;
-      std::vector<Pending> batch = PopBatchLocked(
-          victim_index, lock, /*allow_window=*/false);
-      if (batch.empty()) continue;  // Every queued stream is mid-window.
-      lock.unlock();
-      PublishDepth(victim_index);
-      if (victim_index != home_shard) {
-        Metrics().steals->Increment();
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        ++stats_.steals;
-      }
-      return batch;
-    }
-    if (stopping) return {};  // Every shard drained; exit.
-  }
 }
 
 void InferenceServer::CancelExpired(std::vector<Pending>& live,

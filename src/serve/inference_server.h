@@ -1,8 +1,8 @@
 /// \file inference_server.h
-/// \brief The serving runtime: sharded bounded request queues, work-stealing
-/// dispatcher threads that coalesce compatible requests into micro-batches,
-/// per-tenant token-bucket quotas, admission control, per-request deadlines,
-/// and a result cache.
+/// \brief The serving runtime: sharded bounded request queues, one
+/// work-conserving dispatcher thread per shard that coalesces compatible
+/// requests into micro-batches, per-tenant token-bucket quotas, admission
+/// control, per-request deadlines, and a result cache.
 ///
 /// Request lifecycle:
 ///
@@ -10,29 +10,27 @@
 ///              cache lookup, breaker, shard-capacity check — overflow fails
 ///              fast with kUnavailable, quota exhaustion with
 ///              kResourceExhausted) ──▶ bounded shard queue (shard =
-///              hash(model, version) % num_shards) ──▶ a dispatcher pops a
-///              leader from its home shard — or steals a whole coalescible
-///              batch from a backlogged shard when home is empty — and
-///              coalesces every queued request for the same (model version,
-///              request kind) for up to max_wait_us or max_batch_size ──▶
-///              expired requests are cancelled with kDeadlineExceeded before
-///              touching the simulator ──▶ one ServableModel::RunBatch
-///              executes the whole micro-batch ──▶ promises resolve, results
-///              enter the cache.
+///              hash(model, version) % num_shards) ──▶ the shard's
+///              dispatcher pops the front leader plus every queued request
+///              for the same (model version, request kind), up to
+///              max_batch_size ──▶ expired requests are cancelled with
+///              kDeadlineExceeded before touching the simulator ──▶ one
+///              ServableModel::RunBatch executes the whole micro-batch ──▶
+///              promises resolve, results enter the cache.
+///
+/// Work conservation: a dispatcher never sleeps while its shard holds work.
+/// It takes what is already queued and executes it at once; batches form
+/// from requests that pile up while the previous batch executes, not from a
+/// timer. An idle shard's dispatcher blocks on its condition variable until
+/// a Submit (or Shutdown) notifies it.
 ///
 /// Sharding invariant: requests for one (model, version) always route to
-/// one shard, so micro-batches still coalesce fully; independent models
-/// land on independent mutexes, so Submit-side contention and dispatcher
-/// queue scans split by num_shards instead of serializing on one lock.
-///
-/// Work-stealing invariant: a thief pops the victim's *front* leader and
-/// drains compatible requests front-to-back exactly like the home
-/// dispatcher would — a steal moves a whole coalescible batch and never
-/// reorders requests within a (model, version, kind) stream. Stolen
-/// batches close immediately (no coalescing window): a thief only exists
-/// because some shard is backlogged while it is idle, so clearing work
-/// beats waiting for stragglers. Per-stream dispatch order is audited at
-/// batch-pop time; violations land in Stats::fifo_violations (always 0).
+/// one shard, and each shard has exactly one dispatcher, so a stream's
+/// requests leave their queue front to back in admission order and still
+/// coalesce fully; independent models land on independent mutexes and
+/// dispatchers, so Submit-side contention and execution split by
+/// num_shards. Per-stream dispatch order is audited at batch-pop time;
+/// violations land in Stats::fifo_violations (always 0).
 ///
 /// Batching invariant: a micro-batch only ever contains requests for one
 /// servable (one model version) and one request kind, so the whole batch is
@@ -50,18 +48,17 @@
 /// tenant cannot poison breaker state or occupy shard capacity.
 ///
 /// Shutdown is a graceful drain: admission stops (new Submits get
-/// kUnavailable), dispatchers finish everything already queued across all
-/// shards (work-stealing doubles as the drain path when dispatchers <
-/// shards), then join.
+/// kUnavailable), each dispatcher finishes everything already queued on its
+/// shard, then all join.
 ///
 /// Resilience: batch execution is retried under ServerOptions::retry for
 /// transient (kUnavailable) failures, with deadline-aware backoff — a
 /// request whose deadline cannot survive the next sleep resolves with
 /// kDeadlineExceeded immediately. A per-servable circuit breaker
 /// (fault/circuit_breaker.h) sheds load for a model whose batches keep
-/// failing, and the degradation ladder kicks in under breaker-open or
-/// queue pressure: bounded-staleness cache serving, shrunken coalescing
-/// windows, and (inside ServableModel) compiled→interpreted fallback.
+/// failing, and the degradation ladder kicks in under breaker-open or a
+/// full shard: bounded-staleness cache serving, and (inside ServableModel)
+/// compiled→interpreted fallback.
 
 #ifndef QDB_SERVE_INFERENCE_SERVER_H_
 #define QDB_SERVE_INFERENCE_SERVER_H_
@@ -74,7 +71,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -102,27 +98,16 @@ struct ServerOptions {
   /// shards; each shard is bounded by ceil(queue_capacity / num_shards) and
   /// a Submit landing on a full shard fails with kUnavailable.
   size_t queue_capacity = 256;
-  /// Largest micro-batch a dispatcher will coalesce.
+  /// Largest micro-batch a dispatcher will coalesce from requests already
+  /// queued; it never waits to fill one.
   size_t max_batch_size = 16;
-  /// How long a dispatcher holds an under-full batch open waiting for
-  /// compatible requests, measured from when the leader was popped.
-  /// Stolen batches skip the window entirely.
-  long max_wait_us = 200;
-  /// Dispatcher threads. Dispatcher i's home shard is i % num_shards; for
-  /// latency-sensitive multi-shard deployments run at least one dispatcher
-  /// per shard (a shard with no home dispatcher is served by steals, which
-  /// poll every steal_poll_us).
-  int num_dispatchers = 1;
   /// Independent request-queue shards, each with its own mutex, condition
-  /// variable, and bounded sub-queue. Requests route deterministically by
-  /// hash(model, version) % num_shards (see InferenceServer::ShardFor), so
-  /// one model's stream stays coalescible on one shard while different
-  /// models stop contending on a single lock. 1 = the pre-sharding
-  /// single-queue server, bit-compatible with its behavior.
+  /// variable, bounded sub-queue, and dispatcher thread. Requests route
+  /// deterministically by hash(model, version) % num_shards (see
+  /// InferenceServer::ShardFor), so one model's stream stays coalescible on
+  /// one shard while different models stop contending on a single lock and
+  /// execute in parallel. 1 = a single queue with a single dispatcher.
   int num_shards = 1;
-  /// How long an idle dispatcher waits on its empty home shard before
-  /// scanning the other shards for stealable work.
-  long steal_poll_us = 200;
   /// Result-cache entries; 0 disables the cache.
   size_t result_cache_capacity = 1024;
 
@@ -149,11 +134,6 @@ struct ServerOptions {
   /// Staleness bound for degraded serving under breaker-open or queue
   /// pressure; 0 = any age is acceptable when degraded.
   long max_stale_age_us = 0;
-
-  /// Shard-fill fraction above which dispatchers shrink the batch
-  /// coalescing window to max_wait_us / 4 (throughput over batch quality
-  /// under pressure). <= 0 disables the shrink.
-  double pressure_watermark = 0.5;
 
   /// Per-model SLO tracking: every terminal resolution records into an
   /// obs::SloTracker and burn rates surface as slo.* gauges (after a
@@ -232,7 +212,7 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Spawns the dispatcher threads. Fails with kFailedPrecondition if
+  /// Spawns one dispatcher thread per shard. Fails with kFailedPrecondition if
   /// already started or already shut down.
   Status Start();
 
@@ -278,7 +258,6 @@ class InferenceServer {
     long expired = 0;         ///< Cancelled with kDeadlineExceeded.
     long failed = 0;          ///< Execution failed after retries.
     long batches = 0;         ///< Micro-batches executed successfully.
-    long steals = 0;          ///< Batches a dispatcher stole off-shard.
     long fifo_violations = 0; ///< Per-stream dispatch-order audit failures
                               ///< (an invariant: always 0).
   };
@@ -350,9 +329,10 @@ class InferenceServer {
     std::promise<Result<InferenceResponse>> promise;
   };
 
-  /// One independent queue shard. `depth` mirrors queue.size() for
-  /// lock-free introspection (queue_depth / Healthz / gauges); the
-  /// authoritative capacity check happens under `mu`.
+  /// One independent queue shard, served by exactly one dispatcher.
+  /// `depth` mirrors queue.size() for lock-free introspection (queue_depth
+  /// / Healthz / gauges); the authoritative capacity check happens under
+  /// `mu`.
   struct Shard {
     mutable std::mutex mu;
     std::condition_variable cv;
@@ -362,29 +342,16 @@ class InferenceServer {
     /// (servable, kind) → last dispatched seq, for the FIFO audit. Streams
     /// never migrate shards, so the map is consistent under `mu`.
     std::map<std::pair<const void*, int>, uint64_t> last_dispatched;
-    /// Streams with an unclosed batch: a dispatcher coalescing inside its
-    /// window releases `mu` to sleep, and a concurrent popper (home peer
-    /// or thief) taking later same-stream arrivals would dispatch them
-    /// out of order — so poppers skip open streams entirely.
-    std::set<std::pair<const void*, int>> open_streams;
     std::atomic<size_t> depth{0};
   };
 
-  void DispatcherLoop(size_t home_shard);
-  /// Blocks until the home shard has work (then coalesces a batch with the
-  /// usual window), a steal poll finds a backlogged victim shard (then
-  /// returns the victim's front batch immediately), or the server is
-  /// drained and stopping (then returns empty).
-  std::vector<Pending> NextBatch(size_t home_shard);
-  /// Pops the first leader whose stream is not already open plus every
-  /// compatible queued request (same servable, same kind) from `shard`,
-  /// whose lock is held via `lock`. `allow_window` keeps an under-full
-  /// batch open up to max_wait_us (shrunk under shard pressure); stolen
-  /// batches pass false. Returns empty when every queued request belongs
-  /// to a stream another dispatcher is mid-window on.
-  std::vector<Pending> PopBatchLocked(size_t shard_index,
-                                      std::unique_lock<std::mutex>& lock,
-                                      bool allow_window);
+  /// Pops and executes batches from `shard_index` until Shutdown has closed
+  /// the shard and its queue is empty.
+  void DispatcherLoop(size_t shard_index);
+  /// Blocks until the shard has work, then pops the front leader plus every
+  /// compatible queued request (same servable, same kind) up to
+  /// max_batch_size. Returns empty once the shard is closed and drained.
+  std::vector<Pending> NextBatch(size_t shard_index);
   /// Runs the batch with per-attempt fault injection, breaker outcome
   /// recording, and deadline-aware retry; resolves every promise.
   void ExecuteBatch(std::vector<Pending> batch);
@@ -438,8 +405,7 @@ class InferenceServer {
   std::atomic<size_t> warm_ready_{0};
   std::atomic<size_t> warm_failed_{0};
   /// Dedicated wakeup for backoff sleeps: Shutdown notifies it so retrying
-  /// dispatchers cut their sleeps short, and retry waits never consume a
-  /// shard-cv notify meant to hand work to an idle dispatcher.
+  /// dispatchers cut their sleeps short.
   std::mutex backoff_mu_;
   std::condition_variable shutdown_cv_;
 

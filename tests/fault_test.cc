@@ -591,7 +591,6 @@ TEST_F(FaultTest, BreakerShedServesBoundedStaleCacheEntries) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register(TinyVqcArtifact("m")).ok());
   ServerOptions opts;
-  opts.max_wait_us = 0;
   opts.retry.max_attempts = 1;  // Fail fast: the breaker is under test.
   opts.result_cache_ttl_us = 1000;   // Entries go stale after 1ms.
   opts.max_stale_age_us = 0;         // Degraded serving accepts any age.
@@ -647,7 +646,6 @@ TEST_F(FaultTest, StalenessBoundRejectsAncientEntries) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register(TinyVqcArtifact("m")).ok());
   ServerOptions opts;
-  opts.max_wait_us = 0;
   opts.retry.max_attempts = 1;
   opts.result_cache_ttl_us = 500;
   opts.max_stale_age_us = 1000;  // Entries older than 1ms are unusable.
@@ -711,7 +709,6 @@ TEST_F(FaultTest, SpuriousWakeupsDoNotDisturbServing) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register(TinyVqcArtifact("m")).ok());
   ServerOptions opts;
-  opts.max_wait_us = 50;
   InferenceServer server(registry, opts);
   ASSERT_TRUE(server.Start().ok());
   for (int i = 0; i < 8; ++i) {
@@ -738,8 +735,6 @@ std::vector<std::pair<bool, int>> RunErrorStorm(int count) {
   ModelRegistry registry;
   EXPECT_TRUE(registry.Register(TinyVqcArtifact("storm")).ok());
   ServerOptions opts;
-  opts.max_wait_us = 0;
-  opts.num_dispatchers = 1;
   opts.retry.max_attempts = 4;
   opts.retry.initial_backoff_us = 100;
   opts.retry.max_backoff_us = 500;
@@ -833,8 +828,6 @@ TEST_F(FaultTest, ChaosProfileFromEnvEveryRequestTerminates) {
     ModelRegistry registry;
     EXPECT_TRUE(registry.Register(TinyVqcArtifact("chaos-serve")).ok());
     ServerOptions opts;
-    opts.max_wait_us = 0;
-    opts.num_dispatchers = 1;
     opts.retry.initial_backoff_us = 100;
     opts.retry.max_backoff_us = 500;
     InferenceServer server(registry, opts);

@@ -1,12 +1,14 @@
 // Tests for the sharded serving runtime: deterministic shard routing,
-// per-shard queue depths and health, work-stealing dispatch (whole
-// coalescible batches, per-stream FIFO order intact), per-tenant
-// token-bucket quotas (deterministic refill via an injected clock, the
-// quota_rejected terminal bucket, quota/breaker isolation), and the stats
-// identity under concurrent multi-shard load. Runs under TSan in tier1.
+// per-shard queue depths and health, work-conserving dispatch (one
+// dispatcher per shard drains queued batches back to back, per-stream
+// FIFO order intact), per-tenant token-bucket quotas (deterministic refill
+// via an injected clock, the quota_rejected terminal bucket, quota/breaker
+// isolation), and the stats identity under concurrent multi-shard load.
+// Runs under TSan in tier1.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -17,6 +19,7 @@
 
 #include "common/status.h"
 #include "common/strings.h"
+#include "fault/fault_injector.h"
 #include "serve/inference_server.h"
 #include "serve/model_artifact.h"
 #include "serve/model_registry.h"
@@ -171,6 +174,8 @@ TEST(ShardRoutingTest, DeterministicAndVersionSensitive) {
 
 class ServeScaleTest : public ::testing::Test {
  protected:
+  void TearDown() override { fault::FaultInjector::Global().DisarmAll(); }
+
   void Register(const std::string& name) {
     auto servable = registry_.Register(TinyVqcArtifact(name));
     ASSERT_TRUE(servable.ok()) << servable.status();
@@ -214,39 +219,59 @@ TEST_F(ServeScaleTest, QueueDepthReportsSumAndMaxAcrossShards) {
 }
 
 TEST_F(ServeScaleTest, HealthzDegradesWhenOneShardIsFull) {
-  // A 4-shard server whose ONLY dispatcher camps on shard 0 with a very
-  // long steal poll: filling a model's shard elsewhere is deterministic
-  // because nothing drains it within the poll window. Healthz must flip
-  // on that single full shard even though the total backlog (2 of 8)
-  // looks fine.
-  std::string off_home;
+  // Two models on the same shard of a 4-shard server. A latency fault
+  // scoped to the first holds that shard's dispatcher inside its batch, so
+  // requests for the second queue up behind it and fill the shard
+  // deterministically. Healthz must flip on that single full shard even
+  // though the total backlog (2 of 8) looks fine.
+  const std::string blocker = "blocker";
+  const size_t shard = InferenceServer::ShardFor(blocker, 1, 4);
+  std::string filler;
   for (int candidate = 0;; ++candidate) {
-    off_home = StrCat("off-home-", candidate);
-    if (InferenceServer::ShardFor(off_home, 1, 4) != 0) break;
+    filler = StrCat("filler-", candidate);
+    if (InferenceServer::ShardFor(filler, 1, 4) == shard) break;
   }
-  Register(off_home);
+  Register(blocker);
+  Register(filler);
+  fault::FaultSpec hold;
+  hold.kind = fault::FaultKind::kLatency;
+  hold.latency_us = 500'000;
+  hold.target = blocker;
+  fault::FaultInjector::Global().Arm("serve.dispatch", hold);
   ServerOptions opts;
   opts.num_shards = 4;
-  opts.num_dispatchers = 1;       // Home shard 0 only.
-  opts.steal_poll_us = 60'000'000;  // Steals effectively off until drain.
-  opts.queue_capacity = 8;        // ceil(8 / 4) = 2 per shard.
+  opts.queue_capacity = 8;  // ceil(8 / 4) = 2 per shard.
   opts.result_cache_capacity = 0;
   opts.enable_slo = false;
   InferenceServer server(registry_, opts);
   ASSERT_TRUE(server.Start().ok());
   EXPECT_TRUE(server.Healthz().ok());
 
-  auto f1 = server.Submit(Request(off_home, 0.1, 0.2));
-  auto f2 = server.Submit(Request(off_home, 0.3, 0.4));
+  // Once the blocker leaves the queue its dispatcher is busy with it for
+  // the length of the fault.
+  auto held = server.Submit(Request(blocker, 0.7, 0.8));
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.queue_depth() != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "the dispatcher never popped the blocking request";
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+
+  auto f1 = server.Submit(Request(filler, 0.1, 0.2));
+  auto f2 = server.Submit(Request(filler, 0.3, 0.4));
   const Status health = server.Healthz();
   ASSERT_FALSE(health.ok());
   EXPECT_EQ(health.code(), StatusCode::kUnavailable);
-  EXPECT_NE(health.message().find("shard"), std::string::npos) << health;
+  EXPECT_NE(health.message().find(StrCat("shard ", shard)), std::string::npos)
+      << health;
   EXPECT_NE(health.message().find("at capacity"), std::string::npos);
+  EXPECT_EQ(server.queue_depth(), 2u);
+  EXPECT_EQ(server.max_shard_depth(), 2u);
 
   // The third submission overflows the shard and fails fast, naming the
   // *shard* bound rather than the global capacity.
-  auto f3 = server.Submit(Request(off_home, 0.5, 0.6));
+  auto f3 = server.Submit(Request(filler, 0.5, 0.6));
   ASSERT_EQ(f3.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   const auto overflow = f3.get();
@@ -255,13 +280,15 @@ TEST_F(ServeScaleTest, HealthzDegradesWhenOneShardIsFull) {
   EXPECT_NE(overflow.status().message().find("shard"), std::string::npos)
       << overflow.status();
 
-  // Shutdown's drain path scans every shard regardless of the steal poll,
-  // so the two queued requests still complete.
+  // Shutdown drains: the held batch finishes, then the two queued
+  // requests execute before the dispatcher exits.
   server.Shutdown();
+  EXPECT_TRUE(held.get().ok());
   EXPECT_TRUE(f1.get().ok());
   EXPECT_TRUE(f2.get().ok());
   const auto stats = server.stats();
-  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.completed, 3);
+  EXPECT_EQ(stats.rejected, 1);
   EXPECT_EQ(stats.fifo_violations, 0);
 }
 
@@ -294,54 +321,77 @@ TEST_F(ServeScaleTest, UnstartedFullShardReportsShardCapacityAndHealth) {
   (void)f2.get();
 }
 
-TEST_F(ServeScaleTest, WorkStealingDrainsShardsWithoutHomeDispatchers) {
-  // 4 shards, ONE dispatcher (home shard 0): every model living on shards
-  // 1–3 is served exclusively by steals. All requests must complete and
-  // the per-stream FIFO audit must stay clean.
-  const auto names = NamesOnDistinctShards(4, 4);
-  for (const auto& name : names) Register(name);
+TEST_F(ServeScaleTest, QueuedDistinctModelsDrainBackToBack) {
+  // kModels requests for kModels distinct models, all queued on the single
+  // shard before Start(): each request is its own batch, and a
+  // work-conserving dispatcher starts each batch as soon as the previous
+  // one resolves. A dispatcher that held an under-full batch open for a
+  // coalescing window would idle that whole window before every batch
+  // (nothing arrives to close it early): with a 200 µs window, every gap
+  // below is at least 200 µs. The median gap is a few µs natively and
+  // under 100 µs under TSan; the median ignores scheduler stalls.
+  constexpr int kModels = 128;
+  constexpr long kMedianGapBoundUs = 150;
+  for (int m = 0; m < kModels; ++m) Register(StrCat("drain-", m));
   ServerOptions opts;
-  opts.num_shards = 4;
-  opts.num_dispatchers = 1;
-  opts.steal_poll_us = 100;
-  opts.max_wait_us = 100;
   opts.result_cache_capacity = 0;
   opts.enable_slo = false;
   InferenceServer server(registry_, opts);
-  ASSERT_TRUE(server.Start().ok());
-
+  using Clock = std::chrono::steady_clock;
+  std::vector<Clock::time_point> submit_times;
   std::vector<std::future<Result<InferenceResponse>>> futures;
-  for (int round = 0; round < 8; ++round) {
-    for (const auto& name : names) {
-      futures.push_back(
-          server.Submit(Request(name, 0.05 * round, 0.3)));
-    }
+  for (int m = 0; m < kModels; ++m) {
+    submit_times.push_back(Clock::now());
+    futures.push_back(server.Submit(Request(StrCat("drain-", m), 0.2, 0.4)));
   }
-  int ok_count = 0;
-  for (auto& f : futures) ok_count += f.get().ok() ? 1 : 0;
-  const auto stats = server.stats();
+  ASSERT_EQ(server.queue_depth(), static_cast<size_t>(kModels));
+
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<InferenceResponse> responses;
+  for (auto& f : futures) {
+    auto response = f.get();
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response.value().batch_size, 1u);
+    responses.push_back(std::move(response).value());
+  }
   server.Shutdown();
 
-  EXPECT_EQ(ok_count, 32);
-  EXPECT_EQ(stats.completed, 32);
-  // Three shards have no home dispatcher; their traffic can only have
-  // arrived via steals.
-  EXPECT_GT(stats.steals, 0);
+  // Batch i's dispatch and resolution instants, from its Submit time plus
+  // the response's queue wait and total (the few µs Submit spends before
+  // stamping admission are noise well below the bound).
+  const auto submitted_us = [&](int i) {
+    return static_cast<long>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            submit_times[i] - submit_times[0])
+            .count());
+  };
+  std::vector<long> gaps_us;
+  for (int i = 1; i < kModels; ++i) {
+    const long resolved_prev =
+        submitted_us(i - 1) + responses[i - 1].trace.total_us;
+    const long dispatched = submitted_us(i) + responses[i].queue_wait_us;
+    gaps_us.push_back(dispatched - resolved_prev);
+  }
+  std::sort(gaps_us.begin(), gaps_us.end());
+  EXPECT_LT(gaps_us[gaps_us.size() / 2], kMedianGapBoundUs)
+      << "idle between batches: min " << gaps_us.front() << " us, median "
+      << gaps_us[gaps_us.size() / 2] << " us, max " << gaps_us.back()
+      << " us";
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.completed, kModels);
+  EXPECT_EQ(stats.batches, kModels);
   EXPECT_EQ(stats.fifo_violations, 0);
 }
 
 TEST_F(ServeScaleTest, ConcurrentMultiShardLoadKeepsStatsIdentityAndFifo) {
   // The TSan-relevant stress: many client threads, models on every shard,
-  // quotas on (some rejections), several dispatchers stealing. Afterwards
+  // quotas on (some rejections), one dispatcher per shard. Afterwards
   // every submission must land in exactly one terminal bucket and the
   // FIFO audit must be clean.
   const auto names = NamesOnDistinctShards(4, 4);
   for (const auto& name : names) Register(name);
   ServerOptions opts;
   opts.num_shards = 4;
-  opts.num_dispatchers = 4;
-  opts.steal_poll_us = 50;
-  opts.max_wait_us = 100;
   opts.queue_capacity = 64;
   opts.result_cache_capacity = 0;
   opts.enable_slo = false;
@@ -447,9 +497,8 @@ TEST_F(ServeScaleTest, StatuszReportsTenantBuckets) {
 }
 
 TEST_F(ServeScaleTest, SingleShardMatchesLegacyBehavior) {
-  // num_shards = 1 (the default) must behave exactly like the pre-sharding
-  // server: same capacity bound, same overflow status message semantics,
-  // no steals ever.
+  // num_shards = 1 (the default) is one queue with one dispatcher: the
+  // shard bound is the whole queue capacity, and overflow fails fast.
   Register("legacy");
   ServerOptions opts;
   opts.queue_capacity = 2;
@@ -468,7 +517,7 @@ TEST_F(ServeScaleTest, SingleShardMatchesLegacyBehavior) {
   (void)f1.get();
   (void)f2.get();
   const auto stats = server.stats();
-  EXPECT_EQ(stats.steals, 0);
+  EXPECT_EQ(stats.rejected, 3);  // The overflow plus two shutdown orphans.
   EXPECT_EQ(stats.fifo_violations, 0);
 }
 

@@ -447,7 +447,6 @@ TEST_F(InferenceServerTest, CoalescesQueuedRequestsIntoOneBatch) {
   RegisterTiny("m");
   ServerOptions opts;
   opts.max_batch_size = 8;
-  opts.max_wait_us = 0;
   InferenceServer server(registry_, opts);
   // Submit before Start: everything queues, so the first dispatcher pass
   // must coalesce all six requests into a single micro-batch.
@@ -571,7 +570,6 @@ TEST_F(InferenceServerTest, ConcurrentClientsAllComplete) {
   RegisterTiny("m");
   ServerOptions opts;
   opts.max_batch_size = 8;
-  opts.max_wait_us = 100;
   InferenceServer server(registry_, opts);
   ASSERT_TRUE(server.Start().ok());
   constexpr int kClients = 4;
@@ -603,7 +601,6 @@ TEST_F(InferenceServerTest, ShutdownRaceNeverDropsPromises) {
     RegisterTiny("m");
     ServerOptions opts;
     opts.max_batch_size = 4;
-    opts.max_wait_us = 50;
     InferenceServer server(registry_, opts);
     ASSERT_TRUE(server.Start().ok());
     constexpr int kClients = 4;
@@ -648,7 +645,6 @@ TEST_F(InferenceServerTest, DeadlineExpiresMidRetryStopsRetrying) {
   fault::FaultInjector::Global().Arm("serve.dispatch", spec);
   RegisterTiny("m");
   ServerOptions opts;
-  opts.max_wait_us = 0;
   opts.retry.max_attempts = 10;
   opts.retry.initial_backoff_us = 20000;
   opts.retry.decorrelated_jitter = false;
@@ -702,7 +698,6 @@ TEST_F(InferenceServerTest, EveryRequestYieldsExactlyOneRootSpanTree) {
   obs::EnableTracing();
   ServerOptions opts;
   opts.max_batch_size = 8;
-  opts.max_wait_us = 0;
   constexpr int kRequests = 6;
   std::vector<InferenceResponse> responses;
   {
@@ -791,7 +786,6 @@ TEST_F(InferenceServerTest, RetryStormProducesOneCausallyLinkedTraceTree) {
   obs::TraceLog::Global().Clear();
   obs::EnableTracing();
   ServerOptions opts;
-  opts.max_wait_us = 0;
   opts.retry.max_attempts = 3;
   opts.retry.initial_backoff_us = 200;
   opts.retry.decorrelated_jitter = false;
